@@ -122,7 +122,7 @@ func checkBankConflicts(sum *memaccess.Summary) []Finding {
 		if a.Space != clc.ASLocal || !a.LaneOK {
 			continue
 		}
-		deg := memsim.BankConflictDegree(laneAddrs(sum, a), lintBanks, lintBankWidth)
+		deg := memsim.BankConflictDegree(laneAddrs(sum, a), 0, lintBanks, lintBankWidth)
 		if deg < 2 {
 			continue
 		}

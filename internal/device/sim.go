@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
@@ -26,7 +27,7 @@ func NewSimulator(p *Profile) (*Simulator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("device %s: %w", p.Name, err)
 		}
-		s.workers[i] = &workerSim{prof: p, hier: h}
+		s.workers[i] = &workerSim{prof: p, hier: h, keys: map[*ir.Instr]uint32{}, next: make([]keySlot, 1)}
 	}
 	return s, nil
 }
@@ -93,22 +94,33 @@ func (s *Simulator) Result() Result {
 	return r
 }
 
-// Reset clears all worker state (cycles and cache contents).
+// Reset clears all worker state (cycles, cache contents and the
+// instruction keys). Lane buffers keep their storage for the next launch.
 func (s *Simulator) Reset() {
 	for _, w := range s.workers {
 		w.cycles, w.instrs, w.accesses, w.transactions = 0, 0, 0, 0
 		w.hier.Reset()
-		w.group = nil
+		w.clearGroup()
+		clear(w.keys)
+		w.next, w.lastKey = w.next[:1], 0
+		w.next[0] = keySlot{}
 	}
 }
 
-// access is one buffered GPU access record.
+// access is one buffered GPU access record. It is 16 bytes and holds no
+// pointer, so lane buffers cost the garbage collector nothing to scan.
 type access struct {
-	in    *ir.Instr
-	addr  uint64
-	size  int
+	off   uint64 // offset within space, split off at Access time
+	key   uint32 // interned instruction (workerSim.key)
+	size  uint16
+	space uint8 // clc.AddrSpace
 	store bool
-	space clc.AddrSpace
+}
+
+// keySlot predicts the next instruction and its key.
+type keySlot struct {
+	in  *ir.Instr
+	key uint32
 }
 
 // workerSim is one simulated core / compute unit implementing vm.Tracer.
@@ -121,10 +133,23 @@ type workerSim struct {
 	accesses     int64
 	transactions int64
 
-	// group buffers per-work-item access streams (GPU mode only).
+	// group buffers per-work-item access streams and retire counts (GPU
+	// mode only). Lanes below groupN are in use; the rest are empty but
+	// keep their storage across groups and launches.
 	group    [][]access
 	wiInstrs []int64
 	groupN   int
+
+	// keys interns instructions to dense record keys. next[k] is the
+	// instruction seen after key k last time; lastKey is the latest key.
+	keys    map[*ir.Instr]uint32
+	next    []keySlot
+	lastKey uint32
+
+	// Per-warp scratch, reused from warp position to warp position.
+	addrs []uint64
+	sizes []int
+	segs  []uint64
 }
 
 // localBase maps the per-core local-memory arena into a distinct region of
@@ -142,9 +167,48 @@ func (w *workerSim) GroupBegin(group [3]int, linear int) {
 	if w.prof.Kind != GPUKind {
 		return
 	}
-	w.group = w.group[:0]
-	w.wiInstrs = w.wiInstrs[:0]
+	w.clearGroup()
+}
+
+// clearGroup empties the lanes the current group used.
+func (w *workerSim) clearGroup() {
+	for wi := 0; wi < w.groupN; wi++ {
+		w.group[wi] = w.group[wi][:0]
+		w.wiInstrs[wi] = 0
+	}
 	w.groupN = 0
+}
+
+// lane makes work-item wi part of the current group.
+func (w *workerSim) lane(wi int) {
+	if wi < w.groupN {
+		return
+	}
+	for wi >= len(w.group) {
+		w.group = append(w.group, nil)
+		w.wiInstrs = append(w.wiInstrs, 0)
+	}
+	w.groupN = wi + 1
+}
+
+// key returns the dense key of in. ir.Instr.ID cannot serve: it is
+// per-function, and every store has ID -1. Lanes run the same code, so
+// the instruction that followed the last one seen is tried before the
+// table.
+func (w *workerSim) key(in *ir.Instr) uint32 {
+	if n := &w.next[w.lastKey]; n.in == in && in != nil {
+		w.lastKey = n.key
+		return n.key
+	}
+	k, ok := w.keys[in]
+	if !ok {
+		k = uint32(len(w.keys))
+		w.keys[in] = k
+		w.next = append(w.next, keySlot{})
+	}
+	w.next[w.lastKey] = keySlot{in, k}
+	w.lastKey = k
+	return k
 }
 
 // Access implements vm.Tracer.
@@ -163,14 +227,15 @@ func (w *workerSim) Access(in *ir.Instr, wi int, addr uint64, size int, store bo
 		}
 		return
 	}
-	// GPU: buffer for warp-level processing at GroupEnd.
-	for wi >= len(w.group) {
-		w.group = append(w.group, nil)
+	// GPU: buffer for warp-level processing at GroupEnd. The VM loads and
+	// stores scalars, vectors and pointers, at most 128 bytes, so a size
+	// the record cannot hold is a bug, never a kernel's doing.
+	if uint(size) > math.MaxUint16 {
+		panic(fmt.Sprintf("device: %d-byte access does not fit an access record", size))
 	}
-	w.group[wi] = append(w.group[wi], access{in: in, addr: addr, size: size, store: store, space: space})
-	if wi >= w.groupN {
-		w.groupN = wi + 1
-	}
+	w.lane(wi)
+	w.group[wi] = append(w.group[wi], access{
+		off: off, key: w.key(in), size: uint16(size), space: uint8(space), store: store})
 }
 
 // Barrier implements vm.Tracer.
@@ -190,13 +255,8 @@ func (w *workerSim) Instrs(wi int, n int64) {
 		w.cycles += int64(float64(n) * w.prof.IssueCost)
 		return
 	}
-	for wi >= len(w.wiInstrs) {
-		w.wiInstrs = append(w.wiInstrs, 0)
-	}
+	w.lane(wi)
 	w.wiInstrs[wi] += n
-	if wi >= w.groupN {
-		w.groupN = wi + 1
-	}
 }
 
 // GroupEnd implements vm.Tracer. For GPUs this is where warps are formed
@@ -213,17 +273,20 @@ func (w *workerSim) GroupEnd() {
 		}
 		w.processWarp(warpStart, warpEnd)
 	}
-	w.group = w.group[:0]
-	w.wiInstrs = w.wiInstrs[:0]
-	w.groupN = 0
+	w.clearGroup()
 }
 
 func (w *workerSim) processWarp(lo, hi int) {
 	// Instruction issue: lockstep execution costs the longest lane.
+	lanes := w.group[lo:hi]
 	var maxInstr int64
-	for wi := lo; wi < hi && wi < len(w.wiInstrs); wi++ {
-		if w.wiInstrs[wi] > maxInstr {
-			maxInstr = w.wiInstrs[wi]
+	maxLen := 0
+	for i, lane := range lanes {
+		if n := w.wiInstrs[lo+i]; n > maxInstr {
+			maxInstr = n
+		}
+		if len(lane) > maxLen {
+			maxLen = len(lane)
 		}
 	}
 	w.cycles += int64(float64(maxInstr) * w.prof.IssueCost)
@@ -231,49 +294,36 @@ func (w *workerSim) processWarp(lo, hi int) {
 	// Memory: align lanes position-by-position. Uniform kernels produce
 	// identical access sequences per lane; on divergence (differing
 	// instructions at one position) each lane is charged separately.
-	maxLen := 0
-	for wi := lo; wi < hi && wi < len(w.group); wi++ {
-		if n := len(w.group[wi]); n > maxLen {
-			maxLen = n
-		}
-	}
-	addrs := make([]uint64, 0, hi-lo)
-	sizes := make([]int, 0, hi-lo)
 	for k := 0; k < maxLen; k++ {
-		addrs = addrs[:0]
-		sizes = sizes[:0]
-		var first *ir.Instr
+		addrs, sizes := w.addrs[:0], w.sizes[:0]
+		var first access
 		uniform := true
-		var store bool
-		var space clc.AddrSpace
-		for wi := lo; wi < hi && wi < len(w.group); wi++ {
-			lane := w.group[wi]
+		for _, lane := range lanes {
 			if k >= len(lane) {
 				continue
 			}
-			a := lane[k]
-			if first == nil {
-				first = a.in
-				store = a.store
-				space = a.space
-			} else if a.in != first {
+			a := &lane[k]
+			if len(addrs) == 0 {
+				first = *a
+			} else if a.key != first.key {
 				uniform = false
 			}
-			_, off := vm.SplitAddr(a.addr)
-			addrs = append(addrs, off)
-			sizes = append(sizes, a.size)
+			addrs = append(addrs, a.off)
+			sizes = append(sizes, int(a.size))
 		}
+		w.addrs, w.sizes = addrs, sizes
 		if len(addrs) == 0 {
 			continue
 		}
+		space := clc.AddrSpace(first.space)
 		if !uniform {
 			// Divergent warp position: serialize each lane.
-			for i, a := range addrs {
-				w.chargeWarpAccess([]uint64{a}, sizes[i:i+1], space, store)
+			for i := range addrs {
+				w.chargeWarpAccess(addrs[i:i+1], sizes[i:i+1], space, first.store)
 			}
 			continue
 		}
-		w.chargeWarpAccess(addrs, sizes, space, store)
+		w.chargeWarpAccess(addrs, sizes, space, first.store)
 	}
 }
 
@@ -282,36 +332,16 @@ func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 	case clc.ASPrivate:
 		w.cycles += w.prof.PrivCost
 	case clc.ASLocal:
-		deg := memsim.BankConflictDegree(addrsWithBase(addrs, localBase), w.prof.SPMBanks, w.prof.BankWidth)
+		deg := memsim.BankConflictDegree(addrs, localBase, w.prof.SPMBanks, w.prof.BankWidth)
 		w.cycles += int64(deg) * w.prof.SPMLat
 	default:
-		n := memsim.Coalesce(addrs, sizes, w.prof.Segment)
-		w.transactions += int64(n)
 		// Each transaction pays the issue cost plus the hierarchy cost of
-		// one segment.
-		seen := map[uint64]struct{}{}
-		for i, a := range addrs {
-			sz := 4
-			if i < len(sizes) {
-				sz = sizes[i]
-			}
-			firstSeg := a / uint64(w.prof.Segment)
-			lastSeg := (a + uint64(sz) - 1) / uint64(w.prof.Segment)
-			for s := firstSeg; s <= lastSeg; s++ {
-				if _, ok := seen[s]; ok {
-					continue
-				}
-				seen[s] = struct{}{}
-				w.cycles += w.prof.TransCost + w.hier.Access(s*uint64(w.prof.Segment), w.prof.Segment, store)
-			}
+		// one segment, charged in the order the lanes first touch them.
+		w.segs = memsim.Segments(w.segs, addrs, sizes, w.prof.Segment)
+		w.transactions += int64(len(w.segs))
+		seg := uint64(w.prof.Segment)
+		for _, s := range w.segs {
+			w.cycles += w.prof.TransCost + w.hier.Access(s*seg, w.prof.Segment, store)
 		}
 	}
-}
-
-func addrsWithBase(addrs []uint64, base uint64) []uint64 {
-	out := make([]uint64, len(addrs))
-	for i, a := range addrs {
-		out[i] = base + a
-	}
-	return out
 }

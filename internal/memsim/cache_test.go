@@ -155,6 +155,9 @@ func mustCacheQuick() (*Cache, *DRAM) {
 }
 
 func TestCoalesce(t *testing.T) {
+	coalesce := func(addrs []uint64, sizes []int, segment int) int {
+		return len(Segments(nil, addrs, sizes, segment))
+	}
 	// 32 consecutive 4-byte accesses span one 128B segment.
 	var addrs []uint64
 	var sizes []int
@@ -162,7 +165,7 @@ func TestCoalesce(t *testing.T) {
 		addrs = append(addrs, uint64(i*4))
 		sizes = append(sizes, 4)
 	}
-	if n := Coalesce(addrs, sizes, 128); n != 1 {
+	if n := coalesce(addrs, sizes, 128); n != 1 {
 		t.Errorf("sequential coalesce = %d, want 1", n)
 	}
 	// Stride-512 accesses: every lane its own segment.
@@ -170,7 +173,7 @@ func TestCoalesce(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint64(i*512))
 	}
-	if n := Coalesce(addrs, sizes, 128); n != 32 {
+	if n := coalesce(addrs, sizes, 128); n != 32 {
 		t.Errorf("strided coalesce = %d, want 32", n)
 	}
 	// Broadcast: all lanes same address.
@@ -178,15 +181,20 @@ func TestCoalesce(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, 4096)
 	}
-	if n := Coalesce(addrs, sizes, 128); n != 1 {
+	if n := coalesce(addrs, sizes, 128); n != 1 {
 		t.Errorf("broadcast coalesce = %d, want 1", n)
 	}
-	if n := Coalesce(nil, nil, 128); n != 0 {
+	if n := coalesce(nil, nil, 128); n != 0 {
 		t.Errorf("empty coalesce = %d, want 0", n)
 	}
 	// A 16-byte access straddling a segment boundary costs 2.
-	if n := Coalesce([]uint64{120}, []int{16}, 128); n != 2 {
+	if n := coalesce([]uint64{120}, []int{16}, 128); n != 2 {
 		t.Errorf("straddle coalesce = %d, want 2", n)
+	}
+	// Segments come back in the order lanes first touch them.
+	got := Segments(nil, []uint64{300, 10, 260, 0}, []int{4, 4, 4, 4}, 128)
+	if want := []uint64{2, 0}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("segment order = %v, want %v", got, want)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint64(i*4))
 	}
-	if d := BankConflictDegree(addrs, 32, 4); d != 1 {
+	if d := BankConflictDegree(addrs, 0, 32, 4); d != 1 {
 		t.Errorf("sequential degree = %d, want 1", d)
 	}
 	// Stride of 32 words: all lanes hit bank 0 → degree 32.
@@ -204,7 +212,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint64(i*32*4))
 	}
-	if d := BankConflictDegree(addrs, 32, 4); d != 32 {
+	if d := BankConflictDegree(addrs, 0, 32, 4); d != 32 {
 		t.Errorf("same-bank degree = %d, want 32", d)
 	}
 	// Broadcast: same address everywhere → no conflict.
@@ -212,7 +220,7 @@ func TestBankConflicts(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, 64)
 	}
-	if d := BankConflictDegree(addrs, 32, 4); d != 1 {
+	if d := BankConflictDegree(addrs, 0, 32, 4); d != 1 {
 		t.Errorf("broadcast degree = %d, want 1", d)
 	}
 }
